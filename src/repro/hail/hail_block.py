@@ -30,7 +30,13 @@ _INDEX_METADATA_BYTES = 64
 
 
 class HailBlock(BlockPayload):
-    """One replica's PAX data plus (optionally) a clustered index on its sort attribute."""
+    """One replica's PAX data plus (optionally) a clustered index on its sort attribute.
+
+    A block's data is immutable after construction: ``pax``, ``index``, ``bad_lines`` and
+    ``variable_offsets`` are never changed in place (an adaptive build, downgrade or restore
+    builds a new block).  The byte sizes computed in ``__init__`` and memoized by the PAX
+    block rely on this contract.
+    """
 
     def __init__(
         self,
@@ -57,6 +63,8 @@ class HailBlock(BlockPayload):
         #: still sorted and indexed, but a scan can no longer prune unneeded columns.
         self.pax_layout: bool = True
         self.variable_offsets: dict[str, list[int]] = self._build_variable_offsets()
+        self._bad_records_bytes = sum(len(line.encode("utf-8")) + 1 for line in self.bad_lines)
+        self._offsets_bytes = 4 * sum(len(offsets) for offsets in self.variable_offsets.values())
         # Lazily built per-partition zone map (see the ``zone_map`` property); kept as an
         # attribute so tests can inject a stale synopsis and assert the fail-closed path.
         self._zone_map: Optional[ZoneMap] = None
@@ -123,18 +131,17 @@ class HailBlock(BlockPayload):
 
     def bad_records_size_bytes(self) -> int:
         """Size of the bad-record section."""
-        return sum(len(line.encode("utf-8")) + 1 for line in self.bad_lines)
+        return self._bad_records_bytes
 
     def size_bytes(self) -> int:
         """Physical size of the replica's data file."""
-        offsets_bytes = 4 * sum(len(offsets) for offsets in self.variable_offsets.values())
         return (
             _BLOCK_METADATA_BYTES
             + _INDEX_METADATA_BYTES
             + self.data_size_bytes()
             + self.index_size_bytes()
-            + self.bad_records_size_bytes()
-            + offsets_bytes
+            + self._bad_records_bytes
+            + self._offsets_bytes
         )
 
     def describe(self) -> dict:

@@ -17,7 +17,11 @@ from repro.hdfs.filesystem import DataFile, Hdfs
 
 
 class UploadPipeline(Protocol):
-    """Anything that can upload one block of rows and register its replicas."""
+    """Anything that can upload one block of rows and register its replicas.
+
+    ``upload_block`` returns a result whose ``block_id`` names the registered logical block;
+    that block's ``text_size_bytes`` is the text size of the uploaded records.
+    """
 
     def upload_block(
         self,
@@ -118,9 +122,8 @@ class HdfsClient:
                     replication=replication,
                 )
                 block_results.append(result)
-                source_bytes += sum(
-                    datafile.schema.text_size(record) for record in block_records
-                )
+                # The pipeline already summed the block's text size into its logical block.
+                source_bytes += self.hdfs.namenode.logical_block(result.block_id).text_size_bytes
 
         stored_bytes = self.hdfs.total_stored_bytes() - stored_bytes_before
         effective_replication = (

@@ -36,11 +36,13 @@ class PaxBlock:
     ``array`` view (:meth:`typed_column_at`) whose buffer the kernel fast path wraps with
     ``memoryview``/``numpy.frombuffer`` at zero copy cost.
 
-    Blocks are treated as immutable after construction (reorders build new blocks), which is
-    what makes the typed-column cache and the zone-map synopses derived from a block safe to
-    reuse.  Internal construction paths that just pivoted or decoded fresh lists pass
-    ``copy_columns=False`` to adopt them directly; the defensive copy remains the default for
-    external callers handing in lists they may still mutate.
+    Blocks are immutable after construction: nothing may change ``columns`` or ``num_rows``
+    once the block exists (reorders build new blocks).  The typed-column cache, the memoized
+    minipage sizes and the zone-map synopses derived from a block rely on this contract; a
+    caller that needs different data builds a new block.  Internal construction paths that
+    just pivoted or decoded fresh lists pass ``copy_columns=False`` to adopt them directly;
+    the defensive copy remains the default for external callers handing in lists they may
+    still mutate.
     """
 
     def __init__(
@@ -72,6 +74,9 @@ class PaxBlock:
         # typed representation (non-numeric type, or a BIGINT value outside int64).
         self._typed_columns: dict[int, Optional[array]] = {}
         self._int_fits_float: dict[int, bool] = {}
+        # Per-column minipage sizes, computed on first use (see ``_minipage_sizes``).
+        self._column_sizes: Optional[list[int]] = None
+        self._total_size = 0
 
     # ------------------------------------------------------------------ construction
     @classmethod
@@ -127,7 +132,11 @@ class PaxBlock:
         if len(permutation) != self.num_rows:
             raise ValueError("permutation length must equal the number of rows")
         new_columns = [[column[i] for i in permutation] for column in self.columns]
-        return PaxBlock(self.schema, new_columns, self.num_rows, copy_columns=False)
+        block = PaxBlock(self.schema, new_columns, self.num_rows, copy_columns=False)
+        # A permutation does not change any column's byte size.
+        block._column_sizes = self._column_sizes
+        block._total_size = self._total_size
+        return block
 
     # ------------------------------------------------------------------ typed column views
     def typed_column_at(self, index: int) -> Optional[array]:
@@ -173,18 +182,28 @@ class PaxBlock:
         return fits
 
     # ------------------------------------------------------------------ size accounting
+    def _minipage_sizes(self) -> list[int]:
+        """Binary size of every column's minipage, computed once per block."""
+        if self._column_sizes is None:
+            sizes = []
+            for field, column in zip(self.schema.fields, self.columns):
+                fixed = field.ftype.fixed_size
+                if fixed is not None:
+                    sizes.append(fixed * self.num_rows)
+                else:
+                    sizes.append(sum(field.binary_size(value) for value in column))
+            self._column_sizes = sizes
+            self._total_size = sum(sizes)
+        return self._column_sizes
+
     def column_size_bytes(self, name: str) -> int:
         """Binary size of one column's minipage."""
-        field = self.schema.field(name)
-        column = self.column(name)
-        fixed = field.ftype.fixed_size
-        if fixed is not None:
-            return fixed * self.num_rows
-        return sum(field.binary_size(value) for value in column)
+        return self._minipage_sizes()[self.schema.index_of(name)]
 
     def size_bytes(self) -> int:
         """Binary size of all minipages (the PAX payload of the block)."""
-        return sum(self.column_size_bytes(field.name) for field in self.schema.fields)
+        self._minipage_sizes()
+        return self._total_size
 
     def projected_size_bytes(self, attribute_names: Sequence[str]) -> int:
         """Binary size of just the named columns (what a projection must read)."""
@@ -194,8 +213,9 @@ class PaxBlock:
     def to_bytes(self) -> bytes:
         """Serialize all minipages (column after column) to bytes.
 
-        Used by serialization round-trip tests; the simulators normally keep blocks as Python
-        objects and only account their sizes.
+        The simulators keep blocks as Python objects and account only their sizes; the real
+        bytes are produced where they are needed: the per-replica chunk checksums at upload,
+        adaptive build and restore, and the persistence journal's block payloads.
         """
         parts = []
         for field, column in zip(self.schema.fields, self.columns):

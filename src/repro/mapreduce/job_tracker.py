@@ -596,7 +596,10 @@ class JobTracker:
                     state.job.submit_s for state in pending if state.job.submit_s > now
                 ]
                 if not horizon_candidates:
-                    raise RuntimeError("concurrent scheduler stalled with tasks still queued")
+                    if pending or any(state.queue for state in admitted):
+                        raise RuntimeError("concurrent scheduler stalled with tasks still queued")
+                    # Every job admitted here had zero map tasks; the loop head drains out.
+                    continue
                 slot.available_s = min(horizon_candidates)
                 continue
             state = self._choose_job(eligible, policy, running_by_tenant)

@@ -97,3 +97,32 @@ def test_unfiltered_scans_are_never_pruned():
     result = system.run_query(Query(name="scan", predicate=None, projection=None), _PATH)
     assert len(result.records) == _NUM_RECORDS
     assert result.job.counters.value(Counters.ZONE_MAP_SKIPPED_BLOCKS) == 0
+
+
+def test_concurrent_batch_of_fully_pruned_jobs_returns_empty_answers():
+    """Every job of the batch has zero map tasks: the scheduler drains instead of stalling."""
+    system = _system()
+    never = Query(name="never", predicate=Predicate.comparison("f2", Operator.LT, -1), projection=None)
+    jobconf = system._make_jobconf(never, _PATH, SYNTHETIC_SCHEMA)
+    results = system.runner.run_concurrent([jobconf, jobconf])
+    assert [result.records for result in results] == [[], []]
+    for result in results:
+        assert result.counters.value(Counters.LAUNCHED_MAP_TASKS) == 0
+
+
+def test_concurrent_batch_mixing_pruned_and_real_jobs_answers_exactly():
+    system = _system()
+    never = Query(name="never", predicate=Predicate.comparison("f2", Operator.LT, -1), projection=None)
+    narrow = Query(
+        name="narrow",
+        predicate=Predicate.comparison("f2", Operator.LT, VALUE_RANGE // 16),
+        projection=None,
+    )
+    expected = system.run_query(narrow, _PATH).sorted_records()
+    assert expected, "degenerate test: the range matched nothing"
+    jobconfs = [system._make_jobconf(q, _PATH, SYNTHETIC_SCHEMA) for q in (never, narrow, never)]
+    results = system.runner.run_concurrent(jobconfs)
+    assert results[0].records == [] and results[2].records == []
+    assert sorted(results[1].records) == expected
+    assert results[0].counters.value(Counters.LAUNCHED_MAP_TASKS) == 0
+    assert results[1].counters.value(Counters.LAUNCHED_MAP_TASKS) > 0
